@@ -6,6 +6,13 @@ configuration, and read statistics.  :class:`ExperimentRunner` memoises
 each stage so that e.g. Figure 1's ten configurations share one
 generation per trace, and Figures 2-5 reuse Figure 1's runs outright.
 
+The convert+decode prefix of the pipeline depends only on the
+(trace, improvements) pair, not on the simulator config, so the runner
+keeps the last pair's decoded instructions in a single-slot memo and
+:meth:`ExperimentRunner.run_batch` runs its misses grouped by pair
+(:func:`pair_ordered`): Table 3's nine prefetcher configs of one pair
+convert and decode the trace once.
+
 Two layers extend the in-process memo:
 
 - an optional :class:`~repro.experiments.cache.ResultCache` persists
@@ -19,14 +26,26 @@ Two layers extend the in-process memo:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
+from repro.champsim.branch_info import BranchRules
 from repro.core.convert import ConversionStats, Converter
 from repro.core.improvements import Improvement
 from repro.cvp.analysis import TraceCharacterization, characterize
 from repro.cvp.record import CvpRecord
 from repro.sim.config import SimConfig
+from repro.sim.decoded import DecodedInstr
 from repro.sim.simulator import Simulator
 from repro.sim.stats import SimStats
 from repro.synth.generator import make_trace
@@ -39,6 +58,28 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 
 #: A (trace, improvements, config) request, as accepted by ``run_batch``.
 RunSpec = Tuple[str, Improvement, Optional[SimConfig]]
+
+#: The (trace, improvements) pair that fixes a run's convert+decode prefix.
+Pair = Tuple[str, Improvement]
+
+#: A memoised pipeline prefix: ``(pair, decoded, rules, conversion stats)``.
+_Prefix = Tuple[Pair, List[DecodedInstr], BranchRules, ConversionStats]
+
+_T = TypeVar("_T")
+
+
+def pair_ordered(items: Iterable[_T], pair: Callable[[_T], Pair]) -> List[_T]:
+    """``items`` stably grouped by ``pair(item)``, pairs in order of first
+    appearance.
+
+    Run in this order, every config of a pair follows its first one, so
+    the runner's single-slot prefix memo converts each pair once.
+    """
+    first: Dict[Pair, int] = {}
+    items = list(items)
+    for item in items:
+        first.setdefault(pair(item), len(first))
+    return sorted(items, key=lambda item: first[pair(item)])
 
 
 @dataclass
@@ -121,6 +162,8 @@ class ExperimentRunner:
         #: itself), not just (config.name, l1i_prefetcher): two configs
         #: sharing a name but differing in any field must not alias.
         self._runs: Dict[Tuple[str, Improvement, SimConfig], RunResult] = {}
+        #: Single-slot memo of the last executed pair's prefix.
+        self._prefix: Optional[_Prefix] = None
 
     # ------------------------------------------------------------------
     # suites
@@ -171,23 +214,54 @@ class ExperimentRunner:
 
         return run_key(name, improvements, config, self.instructions)
 
+    def _convert_and_decode(
+        self, name: str, improvements: Improvement, simulator: Simulator
+    ) -> _Prefix:
+        """Convert and decode ``(name, improvements)`` into the memo."""
+        from repro import obs
+
+        # Drop the old pair first: two decoded traces are never alive
+        # at once.
+        self._prefix = None
+        converter = Converter(improvements)
+        with obs.span("convert", trace=name, improvements=improvements.value):
+            instrs = list(converter.convert(self.trace(name)))
+        rules = converter.required_branch_rules
+        decoded = simulator.decode(instrs, rules)
+        prefix = ((name, improvements), decoded, rules, converter.stats)
+        self._prefix = prefix
+        if obs.enabled():
+            obs.counter(
+                "repro_experiment_conversions_total",
+                "Trace conversions performed (prefix-memo misses).",
+            ).inc()
+        return prefix
+
     def _execute(
         self, name: str, improvements: Improvement, config: SimConfig
     ) -> RunResult:
-        """Convert + simulate, unconditionally (no memo, no cache)."""
+        """Simulate, unconditionally (no run memo, no cache).
+
+        Converts and decodes only when ``(name, improvements)`` differs
+        from the previous execution's pair.
+        """
         from repro import obs
 
+        prefix = self._prefix
+        if prefix is not None and prefix[0] != (name, improvements):
+            prefix = None
         with obs.span(
             "experiment.run",
             trace=name,
             improvements=improvements.value,
             config=config.name,
+            prefix="miss" if prefix is None else "hit",
         ) as run_span:
-            converter = Converter(improvements)
-            instrs = list(converter.convert(self.trace(name)))
-            stats = Simulator(config).run(
-                instrs, converter.required_branch_rules
-            )
+            simulator = Simulator(config)
+            if prefix is None:
+                prefix = self._convert_and_decode(name, improvements, simulator)
+            _, decoded, rules, conversion = prefix
+            stats = simulator.run(decoded, rules)
             self.simulations += 1
             run_span.set(instructions=stats.instructions, ipc=stats.ipc)
         if obs.enabled():
@@ -200,7 +274,11 @@ class ExperimentRunner:
             improvements=improvements,
             config_name=config.name,
             stats=stats,
-            conversion=converter.stats,
+            # Results share no mutable counters with the memo or with
+            # each other.
+            conversion=replace(
+                conversion, branch_counts=dict(conversion.branch_counts)
+            ),
         )
 
     def run(
@@ -271,7 +349,8 @@ class ExperimentRunner:
         """Run arbitrary (trace, improvements, config) specs in one pool.
 
         Memo, journal, and disk-cache hits are resolved up front; only
-        the misses (deduplicated) are dispatched to worker processes.
+        the misses (deduplicated, grouped by :func:`pair_ordered`) are
+        dispatched to worker processes.
         With ``jobs<=1`` the misses run inline through :meth:`run`, so
         serial and parallel share one code path per result.  In pool
         mode each completion is cached and journalled *as it arrives*
@@ -303,7 +382,7 @@ class ExperimentRunner:
                 pending[key] = [index]
 
         if pending:
-            keys = list(pending)
+            keys = pair_ordered(pending, lambda key: (key[0], key[1]))
             if jobs is not None and jobs <= 1:
                 results = [self.run(*key) for key in keys]
             else:

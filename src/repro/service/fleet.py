@@ -37,7 +37,7 @@ from repro.experiments.cli import run_experiment
 from repro.experiments.figures import FIGURE1_CONFIGS
 from repro.experiments.journal import SweepJournal
 from repro.experiments.parallel import RunTask, run_tasks
-from repro.experiments.runner import ExperimentRunner, RunResult, RunSpec
+from repro.experiments.runner import ExperimentRunner, RunResult, RunSpec, pair_ordered
 from repro.experiments.tables import FIXED_TRACE_IMPROVEMENTS
 from repro.faults.retry import RetryPolicy
 from repro.service.store import ArtifactStore, artifact_key
@@ -57,6 +57,11 @@ DEFAULT_SHARD_SIZE = 64
 
 #: Progress callback: ``(done_tasks, total_tasks)`` after each shard.
 ProgressFn = Callable[[int, int], None]
+
+
+def _positive_int(value: Any) -> bool:
+    """A JSON integer above zero (``bool`` subclasses ``int``: not one)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value > 0
 
 
 @dataclass(frozen=True)
@@ -93,11 +98,11 @@ class SweepParams:
         stride = payload.get("stride", 3)
         limit = payload.get("limit")
         engine = payload.get("engine")
-        if not isinstance(instructions, int) or instructions <= 0:
+        if not _positive_int(instructions):
             raise ValueError("instructions must be a positive integer")
-        if not isinstance(stride, int) or stride <= 0:
+        if not _positive_int(stride):
             raise ValueError("stride must be a positive integer")
-        if limit is not None and (not isinstance(limit, int) or limit <= 0):
+        if limit is not None and not _positive_int(limit):
             raise ValueError("limit must be a positive integer or null")
         if engine is not None and engine not in ("scalar", "vector"):
             raise ValueError("engine must be 'scalar', 'vector', or null")
@@ -390,7 +395,8 @@ class Fleet:
         cache: ResultCache,
         journal: Optional[SweepJournal],
     ) -> Tuple[int, List[RunTask]]:
-        """Resolve the sweep's specs against the store; return the misses."""
+        """Resolve the sweep's specs against the store; return the misses,
+        grouped by (trace, improvements) pair like ``run_batch``'s."""
         seen: Set[Tuple[str, Improvement, SimConfig]] = set()
         cache_hits = 0
         pending: List[RunTask] = []
@@ -415,7 +421,9 @@ class Fleet:
                     instructions=params.instructions,
                 )
             )
-        return cache_hits, pending
+        return cache_hits, pair_ordered(
+            pending, lambda task: (task.name, task.improvements)
+        )
 
     def _dispatch(
         self,

@@ -154,13 +154,13 @@ class Simulator:
         if self.engine == "vector":
             columns = self._columns_memo_lookup(trace, rules)
             if columns is None:
-                decoded = self._decode(trace, rules)
+                decoded = self.decode(trace, rules)
                 with obs.span("sim.columnarize", instructions=len(decoded)):
                     columns = columnarize(decoded)
                 self._columns_memo = (trace, rules, columns)
             payload = columns
         else:
-            payload = self._decode(trace, rules)
+            payload = self.decode(trace, rules)
         with obs.span("sim.engine", instructions=len(payload)):
             # The vector engine's run() accepts DecodedColumns on top of
             # the base Engine signature; self.engine gates which form is
@@ -170,7 +170,13 @@ class Simulator:
             self._component_pool = engine.export_pool()
         return stats
 
-    def _decode(self, trace: TraceLike, rules: BranchRules) -> List[DecodedInstr]:
+    def decode(self, trace: TraceLike, rules: BranchRules) -> List[DecodedInstr]:
+        """Decode ``trace`` under ``rules`` through this simulator's cache.
+
+        ``run`` accepts the result as-is, so a caller simulating one
+        trace under several configs decodes it once and hands the list
+        to each ``Simulator(config).run(decoded, rules)``.
+        """
         from repro import obs
 
         cache = self.decode_cache

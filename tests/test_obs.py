@@ -425,6 +425,35 @@ def test_observed_convert_byte_identity(obs_log, small_trace):
     assert counters["repro_convert_static_memo_lookups_total"] > 0
 
 
+def test_experiment_run_spans_prefix_memo(obs_log):
+    from repro.core.improvements import Improvement
+    from repro.experiments.runner import ExperimentRunner
+    from repro.sim.config import SimConfig
+
+    runner = ExperimentRunner(instructions=400)
+    runner.run_batch(
+        [
+            ("client_001", Improvement.ALL, SimConfig.ipc1()),
+            ("client_001", Improvement.ALL, SimConfig.ipc1(l1i_prefetcher="EPI")),
+        ],
+        jobs=1,
+    )
+    obs.finalize()
+
+    rows = [p for p in events.iter_events(obs_log) if p["type"] == "span"]
+    runs = [row for row in rows if row["name"] == "experiment.run"]
+    assert [row["attrs"]["prefix"] for row in runs] == ["miss", "hit"]
+    converts = [row for row in rows if row["name"] == "convert"]
+    assert len(converts) == 1
+    assert converts[0]["parent"] == runs[0]["id"]
+    assert converts[0]["attrs"]["trace"] == "client_001"
+    counters = {
+        c["name"]: c["value"] for c in aggregate_logs([obs_log])["counters"]
+    }
+    assert counters["repro_experiment_conversions_total"] == 1
+    assert counters["repro_experiment_runs_total"] == 2
+
+
 # ----------------------------------------------------------------------
 # logging hierarchy
 # ----------------------------------------------------------------------

@@ -83,6 +83,19 @@ def test_submit_invalid_param_types_are_400(service):
         assert err.value.status == 400
 
 
+@pytest.mark.parametrize("field", ["instructions", "stride", "limit"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_submit_boolean_counts_are_400(service, field, flag):
+    # bool subclasses int: without the check, `true` would run a
+    # one-instruction (or stride-1, limit-1) sweep.
+    payload = dict(TINY, **{field: flag})
+    with pytest.raises(ServiceError) as err:
+        service.handle_submit(json.dumps(payload).encode())
+    assert err.value.status == 400
+    assert field in str(err.value)
+    assert service.queue.describe()["queued"] == 0
+
+
 def test_submit_enqueues_and_dedups_in_flight(service):
     first = service.handle_submit(json.dumps(TINY).encode())
     assert first["state"] == "queued"
