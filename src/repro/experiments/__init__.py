@@ -15,8 +15,9 @@ Entry points: the :class:`ExperimentRunner` (converts and simulates with
 memoisation, an optional persistent :class:`ResultCache`, and parallel
 ``run_many``/``run_batch`` fan-out), per-experiment functions in
 :mod:`repro.experiments.figures` and :mod:`repro.experiments.tables`,
-text renderers in :mod:`repro.experiments.report`, and the
-``repro-experiment`` CLI.
+text renderers in :mod:`repro.experiments.report`, the
+:mod:`repro.experiments.registry` declaring each experiment once, and
+the ``repro-experiment`` CLI.
 """
 
 from repro.experiments.cache import ConversionCache, ResultCache

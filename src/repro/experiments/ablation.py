@@ -18,10 +18,11 @@ Two studies back the paper's discussion sections:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.improvements import Improvement
-from repro.experiments.runner import ExperimentRunner, geomean
+from repro.experiments.runner import ExperimentRunner, RunSpec, geomean
+from repro.experiments.tables import FIXED_TRACE_IMPROVEMENTS
 from repro.sim.config import SimConfig
 from repro.sim.prefetch.ipc1 import IPC1_PREFETCHERS
 
@@ -44,11 +45,14 @@ class FrontendAblationRow:
         return 1.0 - decoupled_gain / coupled_gain
 
 
-def _speedups(
-    runner: ExperimentRunner, config_base: SimConfig, improvements: Improvement
-) -> Dict[str, float]:
-    names = runner.ipc1_trace_names()
-    prefetcher_configs = {
+def _frontend_bases() -> Tuple[SimConfig, SimConfig]:
+    """The coupled (IPC-1) and decoupled front-end baseline configs."""
+    decoupled = SimConfig.ipc1(decoupled_frontend=True, fdip_lookahead=12)
+    return SimConfig.ipc1(), replace(decoupled, name="ipc1-decoupled")
+
+
+def _prefetcher_configs(config_base: SimConfig) -> Dict[str, SimConfig]:
+    return {
         prefetcher: replace(
             config_base,
             name=f"{config_base.name}+{prefetcher}",
@@ -56,13 +60,26 @@ def _speedups(
         )
         for prefetcher in IPC1_PREFETCHERS
     }
-    runner.run_batch(
-        [
-            (n, improvements, config)
-            for config in [config_base, *prefetcher_configs.values()]
-            for n in names
-        ]
-    )
+
+
+def frontend_runs(
+    runner: ExperimentRunner, improvements: Improvement = FIXED_TRACE_IMPROVEMENTS
+) -> List[RunSpec]:
+    """Each front-end baseline and its eight prefetcher configs."""
+    names = runner.ipc1_trace_names()
+    return [
+        (n, improvements, config)
+        for base in _frontend_bases()
+        for config in [base, *_prefetcher_configs(base).values()]
+        for n in names
+    ]
+
+
+def _speedups(
+    runner: ExperimentRunner, config_base: SimConfig, improvements: Improvement
+) -> Dict[str, float]:
+    names = runner.ipc1_trace_names()
+    prefetcher_configs = _prefetcher_configs(config_base)
     baseline = {
         n: runner.run(n, improvements, config_base).stats.ipc for n in names
     }
@@ -79,18 +96,16 @@ def _speedups(
 
 def decoupled_frontend_study(
     runner: ExperimentRunner,
-    improvements: Improvement = Improvement.ALL & ~Improvement.MEM_FOOTPRINT,
+    improvements: Improvement = FIXED_TRACE_IMPROVEMENTS,
 ) -> List[FrontendAblationRow]:
     """Prefetcher speedups: coupled (IPC-1) vs decoupled front-end.
 
     Expectation (Ishii et al., echoed by the paper): the decoupled
     column's speedups are much closer to 1.
     """
-    coupled = _speedups(runner, SimConfig.ipc1(), improvements)
-    decoupled_base = SimConfig.ipc1(
-        decoupled_frontend=True, fdip_lookahead=12
-    )
-    decoupled_base = replace(decoupled_base, name="ipc1-decoupled")
+    runner.run_batch(frontend_runs(runner, improvements))
+    coupled_base, decoupled_base = _frontend_bases()
+    coupled = _speedups(runner, coupled_base, improvements)
     decoupled = _speedups(runner, decoupled_base, improvements)
     rows = [
         FrontendAblationRow(
@@ -112,6 +127,23 @@ class InteractionRow:
     variation: float
 
 
+#: The interaction study's combinations, in row order.
+_COMBOS = (
+    ("imp_branch-regs", Improvement.BRANCH_REGS),
+    ("imp_flag-regs", Improvement.FLAG_REG),
+    ("both", Improvement.BRANCH_REGS | Improvement.FLAG_REG),
+)
+
+
+def interaction_runs(runner: ExperimentRunner) -> List[RunSpec]:
+    names = runner.public_trace_names()
+    return [
+        (n, improvements, None)
+        for improvements in [Improvement.NONE] + [imp for _, imp in _COMBOS]
+        for n in names
+    ]
+
+
 def improvement_interaction_study(
     runner: ExperimentRunner,
 ) -> List[InteractionRow]:
@@ -122,18 +154,11 @@ def improvement_interaction_study(
     flag register, and branch-regs then replaces exactly the dependencies
     flag-reg would otherwise have created for cb(n)z-style branches.
     """
+    runner.run_batch(interaction_runs(runner))
     names = runner.public_trace_names()
-    combos = (
-        ("imp_branch-regs", Improvement.BRANCH_REGS),
-        ("imp_flag-regs", Improvement.FLAG_REG),
-        ("both", Improvement.BRANCH_REGS | Improvement.FLAG_REG),
-    )
-    runner.sweep(
-        names, [Improvement.NONE] + [imp for _, imp in combos]
-    )
     return [
         InteractionRow(label, runner.geomean_variation(names, improvements))
-        for label, improvements in combos
+        for label, improvements in _COMBOS
     ]
 
 
@@ -143,6 +168,25 @@ class PrfRow:
 
     prf_size: int  # 0 = unlimited
     variation: float
+
+
+def _prf_configs(sizes: Sequence[int]) -> Dict[int, SimConfig]:
+    return {
+        size: replace(SimConfig.main(prf_size=size), name=f"main-prf{size}")
+        for size in sizes
+    }
+
+
+def prf_runs(
+    runner: ExperimentRunner, sizes: Sequence[int] = (0, 96, 48)
+) -> List[RunSpec]:
+    names = runner.public_trace_names()
+    return [
+        (n, improvements, config)
+        for config in _prf_configs(sizes).values()
+        for improvements in (Improvement.NONE, Improvement.MEM_REGS)
+        for n in names
+    ]
 
 
 def finite_prf_study(
@@ -155,19 +199,9 @@ def finite_prf_study(
     Returns the geomean IPC variation of mem-regs vs the original
     converter at each PRF size (0 = ChampSim's unlimited renaming).
     """
+    runner.run_batch(prf_runs(runner, sizes))
     names = runner.public_trace_names()
-    configs = {
-        size: replace(SimConfig.main(prf_size=size), name=f"main-prf{size}")
-        for size in sizes
-    }
-    runner.run_batch(
-        [
-            (n, improvements, config)
-            for config in configs.values()
-            for improvements in (Improvement.NONE, Improvement.MEM_REGS)
-            for n in names
-        ]
-    )
+    configs = _prf_configs(sizes)
     rows: List[PrfRow] = []
     for size in sizes:
         config = configs[size]

@@ -14,9 +14,9 @@ import time
 from typing import Optional, Sequence
 
 from repro import obs
-from repro.experiments import ablation, figures, report, tables
 from repro.experiments.journal import DEFAULT_JOURNAL_NAME, SweepJournal
 from repro.experiments.parallel import PoolRecoveryError, TaskFailure
+from repro.experiments.registry import NAMES, PAPER_EXPERIMENTS, run_experiment
 from repro.experiments.runner import ExperimentRunner
 from repro.faults.retry import RetryPolicy
 from repro.obs import logutil
@@ -27,9 +27,6 @@ from repro.obs import logutil
 EXIT_TASK_FAILURE = 1
 EXIT_INFRA_FAILURE = 3
 
-_EXPERIMENTS = ("fig1", "fig2", "fig3", "fig4", "fig5", "tab1", "tab2", "tab3")
-_ABLATIONS = ("ablation-frontend", "ablation-overlap", "ablation-prf")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -38,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=_EXPERIMENTS + _ABLATIONS + ("all",),
+        choices=NAMES + ("all",),
         help="which figure/table to regenerate (or an ablation study)",
     )
     parser.add_argument(
@@ -137,37 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_experiment(name: str, runner: ExperimentRunner) -> str:
-    """Produce the rendered text for one experiment."""
-    if name == "fig1":
-        return report.render_figure1(figures.figure1(runner))
-    if name == "fig2":
-        return report.render_figure2(figures.figure2(runner))
-    if name == "fig3":
-        return report.render_figure3(figures.figure3(runner))
-    if name == "fig4":
-        return report.render_figure4(figures.figure4(runner))
-    if name == "fig5":
-        return report.render_figure5(figures.figure5(runner))
-    if name == "tab1":
-        return report.render_table1(tables.table1(runner))
-    if name == "tab2":
-        return report.render_table2(tables.table2(runner))
-    if name == "tab3":
-        return report.render_table3(tables.table3(runner))
-    if name == "ablation-frontend":
-        return ablation.render_frontend_ablation(
-            ablation.decoupled_frontend_study(runner)
-        )
-    if name == "ablation-overlap":
-        return ablation.render_interaction(
-            ablation.improvement_interaction_study(runner)
-        )
-    if name == "ablation-prf":
-        return ablation.render_prf_study(ablation.finite_prf_study(runner))
-    raise ValueError(f"unknown experiment {name!r}")
-
-
 def _print_quarantine_report(name: str, failure: TaskFailure) -> None:
     """Per-task worker tracebacks for every quarantined task (stderr)."""
     print(f"repro-experiment: {name}: {failure.summary()}", file=sys.stderr)
@@ -186,10 +152,9 @@ def _run_remote(args: "argparse.Namespace") -> int:
     requests — 0 end to end when the store is warm.
     """
     from repro.service.client import ServiceClient, ServiceError
-    from repro.service.fleet import SERVICE_EXPERIMENTS
 
-    chosen = _EXPERIMENTS if args.experiment == "all" else (args.experiment,)
-    unsupported = [n for n in chosen if n not in SERVICE_EXPERIMENTS]
+    chosen = PAPER_EXPERIMENTS if args.experiment == "all" else (args.experiment,)
+    unsupported = [n for n in chosen if n not in PAPER_EXPERIMENTS]
     if unsupported:
         print(
             "repro-experiment: not served by repro-serve: "
@@ -254,7 +219,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ),
         task_timeout=args.task_timeout,
     )
-    chosen = _EXPERIMENTS if args.experiment == "all" else (args.experiment,)
+    chosen = PAPER_EXPERIMENTS if args.experiment == "all" else (args.experiment,)
     print(f"[runner {runner.describe()}]")
     if journal is not None and len(journal):
         print(f"[journal resumed {len(journal)} completed task(s)]")

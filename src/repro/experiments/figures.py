@@ -2,16 +2,20 @@
 
 Each function returns plain data (dataclasses of floats/strings) so tests
 can assert on shapes and :mod:`repro.experiments.report` can render the
-same rows the paper plots.
+same rows the paper plots.  Each figure's run list is declared once, by
+its ``*_runs`` function: the figure body fans it out with
+``runner.run_batch`` and then reads memoised results, and the
+:mod:`~repro.experiments.registry` hands the same list to anything that
+needs to know the runs up front.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.improvements import Improvement
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import ExperimentRunner, RunSpec
 
 #: The improvement sets Figure 1 and 2 sweep, in the paper's bar order.
 FIGURE1_CONFIGS: Tuple[Tuple[str, Improvement], ...] = (
@@ -27,6 +31,41 @@ FIGURE1_CONFIGS: Tuple[Tuple[str, Improvement], ...] = (
 )
 
 
+def _public_runs(
+    runner: ExperimentRunner, improvement_sets: Sequence[Improvement]
+) -> List[RunSpec]:
+    """Every sampled public trace under each improvement set (main config)."""
+    names = runner.public_trace_names()
+    return [
+        (name, improvements, None)
+        for improvements in improvement_sets
+        for name in names
+    ]
+
+
+def figure1_runs(runner: ExperimentRunner) -> List[RunSpec]:
+    """The runs of Figures 1 and 2: the original converter and every
+    Figure 1 improvement set."""
+    return _public_runs(
+        runner, [Improvement.NONE] + [imps for _, imps in FIGURE1_CONFIGS]
+    )
+
+
+def figure3_runs(runner: ExperimentRunner) -> List[RunSpec]:
+    return _public_runs(
+        runner,
+        [Improvement.NONE, Improvement.BRANCH_REGS, Improvement.FLAG_REG],
+    )
+
+
+def figure4_runs(runner: ExperimentRunner) -> List[RunSpec]:
+    return _public_runs(runner, [Improvement.NONE, Improvement.BASE_UPDATE])
+
+
+def figure5_runs(runner: ExperimentRunner) -> List[RunSpec]:
+    return _public_runs(runner, [Improvement.NONE, Improvement.CALL_STACK])
+
+
 @dataclass
 class Figure1:
     """Geomean IPC variation per improvement vs the original converter."""
@@ -38,12 +77,10 @@ class Figure1:
 
 def figure1(runner: ExperimentRunner) -> Figure1:
     """Figure 1: geomean IPC variation across the CVP-1 public suite."""
-    names = runner.public_trace_names()
     # One fan-out for the whole sweep; geomean_variation then reads the
     # memoised results.
-    runner.sweep(
-        names, [Improvement.NONE] + [imps for _, imps in FIGURE1_CONFIGS]
-    )
+    runner.run_batch(figure1_runs(runner))
+    names = runner.public_trace_names()
     variation = {
         label: runner.geomean_variation(names, imps)
         for label, imps in FIGURE1_CONFIGS
@@ -63,10 +100,8 @@ class Figure2:
 
 def figure2(runner: ExperimentRunner) -> Figure2:
     """Figure 2: sorted per-trace IPC variation for every improvement."""
+    runner.run_batch(figure1_runs(runner))
     names = runner.public_trace_names()
-    runner.sweep(
-        names, [Improvement.NONE] + [imps for _, imps in FIGURE1_CONFIGS]
-    )
     series: Dict[str, List[float]] = {}
     above: Dict[str, int] = {}
     for label, imps in FIGURE1_CONFIGS:
@@ -93,11 +128,8 @@ def figure3(runner: ExperimentRunner) -> List[Figure3Row]:
     run), the paper's x-axis.  Slowdown is ``IPC_orig / IPC_improved``
     (>1 means the improvement slowed the trace down).
     """
+    runner.run_batch(figure3_runs(runner))
     names = runner.public_trace_names()
-    runner.sweep(
-        names,
-        [Improvement.NONE, Improvement.BRANCH_REGS, Improvement.FLAG_REG],
-    )
     rows: List[Figure3Row] = []
     for name in names:
         base = runner.run(name, Improvement.NONE).stats
@@ -130,8 +162,8 @@ def figure4(runner: ExperimentRunner) -> List[Figure4Row]:
     (relative to all instructions), the paper's x-axis.  Speedup is
     ``IPC_base-update / IPC_orig``.
     """
+    runner.run_batch(figure4_runs(runner))
     names = runner.public_trace_names()
-    runner.sweep(names, [Improvement.NONE, Improvement.BASE_UPDATE])
     rows: List[Figure4Row] = []
     for name in names:
         ch = runner.characterization(name)
@@ -163,8 +195,8 @@ def figure5(runner: ExperimentRunner, top: int = 20) -> List[Figure5Row]:
     the original converter; rows come sorted by decreasing original RAS
     MPKI and the ``top`` worst are returned.
     """
+    runner.run_batch(figure5_runs(runner))
     names = runner.public_trace_names()
-    runner.sweep(names, [Improvement.NONE, Improvement.CALL_STACK])
     rows: List[Figure5Row] = []
     for name in names:
         base = runner.run(name, Improvement.NONE).stats

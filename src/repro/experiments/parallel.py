@@ -156,17 +156,19 @@ def default_jobs() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-#: Per-process runner pool, keyed by instruction budget (workers are
-#: reused across tasks; the runner memoises trace generation).
+#: Per-process runner pool, keyed by instruction budget (pool workers
+#: are reused across tasks; the runner memoises trace generation).
 _WORKER_RUNNERS: Dict[int, Any] = {}
 
 
 def execute_task(task: RunTask) -> "RunResult":  # noqa: F821
-    """Run one task in the current process (the worker entry point).
+    """Run one task in a pool worker (the pool entry point).
 
     Uses a process-local :class:`ExperimentRunner` so that several tasks
     against the same trace (e.g. ten improvement sets of one Figure 1
-    trace) landing on the same worker generate the trace once.
+    trace) landing on the same worker generate the trace once.  Inline
+    batches never come here: ``ExperimentRunner.run_batch`` runs them on
+    the calling runner.
     """
     from repro.experiments.runner import ExperimentRunner
 
@@ -174,7 +176,7 @@ def execute_task(task: RunTask) -> "RunResult":  # noqa: F821
     if runner is None:
         runner = ExperimentRunner(instructions=task.instructions)
         _WORKER_RUNNERS[task.instructions] = runner
-    return runner.run(task.name, task.improvements, task.config)
+    return runner._execute(task.name, task.improvements, task.config)
 
 
 def _guarded(

@@ -13,14 +13,14 @@ keeps the last pair's decoded instructions in a single-slot memo and
 (:func:`pair_ordered`): Table 3's nine prefetcher configs of one pair
 convert and decode the trace once.
 
-Two layers extend the in-process memo:
-
-- an optional :class:`~repro.experiments.cache.ResultCache` persists
-  results on disk, so repeated CLI/benchmark invocations replay warm
-  sweeps without simulating;
-- :meth:`ExperimentRunner.run_many` / :meth:`ExperimentRunner.run_batch`
-  fan the cache misses of a whole sweep out across worker processes
-  (``jobs``), with results returned in deterministic request order.
+:meth:`ExperimentRunner.run_batch` is the one orchestration path: it
+probes the in-process memo, then the optional
+:class:`~repro.experiments.journal.SweepJournal` and
+:class:`~repro.experiments.cache.ResultCache`, and hands the misses to
+:func:`~repro.experiments.parallel.run_tasks` — inline on this runner at
+``jobs<=1``, across worker processes otherwise — checkpointing each
+completion as it lands.  Retries, quarantine and fault injection behave
+the same at every ``jobs`` value.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from repro.core.convert import ConversionStats, Converter
 from repro.core.improvements import Improvement
 from repro.cvp.analysis import TraceCharacterization, characterize
 from repro.cvp.record import CvpRecord
+from repro.experiments.parallel import RunTask, default_jobs, execute_task, run_tasks
 from repro.sim.config import SimConfig
 from repro.sim.decoded import DecodedInstr
 from repro.sim.simulator import Simulator
@@ -113,7 +114,8 @@ class ExperimentRunner:
         cache: Optional on-disk :class:`ResultCache`; hits skip the whole
             convert+simulate pipeline across process boundaries.
         jobs: Default worker count for :meth:`run_many`/:meth:`run_batch`
-            (1 = serial; individual calls can override).
+            (1 = inline on this runner, ``None`` = all cores; individual
+            calls can override).
         engine: Override ``SimConfig.engine`` on every run (``None``
             keeps each config's own choice).  The vector engine is
             bit-identical to the scalar reference, but the override is
@@ -124,8 +126,8 @@ class ExperimentRunner:
             results are replayed (before the disk cache) so an
             interrupted sweep resumes where it died.
         retry_policy: Optional :class:`~repro.faults.retry.RetryPolicy`
-            governing task retries in the parallel fan-out (``None`` =
-            the fleet default: two attempts, no backoff).
+            governing task retries, inline and in the pool (``None`` =
+            the supervisor default: two attempts, no backoff).
         task_timeout: Per-task wall-clock bound (seconds) in the
             parallel fan-out; hung workers are killed and their pool
             restarted.  ``None`` disables the bound.
@@ -137,7 +139,7 @@ class ExperimentRunner:
         limit: Optional[int] = None,
         stride: int = 1,
         cache: Optional["ResultCache"] = None,
-        jobs: int = 1,
+        jobs: Optional[int] = 1,
         engine: Optional[str] = None,
         journal: Optional["SweepJournal"] = None,
         retry_policy: Optional["RetryPolicy"] = None,
@@ -240,7 +242,7 @@ class ExperimentRunner:
     def _execute(
         self, name: str, improvements: Improvement, config: SimConfig
     ) -> RunResult:
-        """Simulate, unconditionally (no run memo, no cache).
+        """Simulate, unconditionally (no run memo, no cache, no count).
 
         Converts and decodes only when ``(name, improvements)`` differs
         from the previous execution's pair.
@@ -262,7 +264,6 @@ class ExperimentRunner:
                 prefix = self._convert_and_decode(name, improvements, simulator)
             _, decoded, rules, conversion = prefix
             stats = simulator.run(decoded, rules)
-            self.simulations += 1
             run_span.set(instructions=stats.instructions, ipc=stats.ipc)
         if obs.enabled():
             obs.counter(
@@ -287,25 +288,8 @@ class ExperimentRunner:
         improvements: Improvement,
         config: Optional[SimConfig] = None,
     ) -> RunResult:
-        """Convert + simulate (memoised; disk-cached when a cache is set)."""
-        config = self._normalize_config(config)
-        key = (name, improvements, config)
-        if key in self._runs:
-            return self._runs[key]
-        cache_key = self._cache_key(name, improvements, config)
-        result = None
-        if self.journal is not None:
-            result = self.journal.lookup(cache_key)
-        if result is None and self.cache is not None:
-            result = self.cache.load(cache_key)
-        if result is None:
-            result = self._execute(name, improvements, config)
-            if self.cache is not None:
-                self.cache.store(cache_key, result)
-        if self.journal is not None:
-            self.journal.record(cache_key, result)
-        self._runs[key] = result
-        return result
+        """Convert + simulate one run (a batch of one; see :meth:`run_batch`)."""
+        return self.run_batch([(name, improvements, config)])[0]
 
     def run_many(
         self,
@@ -346,18 +330,17 @@ class ExperimentRunner:
         specs: Sequence[RunSpec],
         jobs: Optional[int] = None,
     ) -> List[RunResult]:
-        """Run arbitrary (trace, improvements, config) specs in one pool.
+        """Run arbitrary (trace, improvements, config) specs as one fan-out.
 
         Memo, journal, and disk-cache hits are resolved up front; only
-        the misses (deduplicated, grouped by :func:`pair_ordered`) are
-        dispatched to worker processes.
-        With ``jobs<=1`` the misses run inline through :meth:`run`, so
-        serial and parallel share one code path per result.  In pool
-        mode each completion is cached and journalled *as it arrives*
-        (not after the batch), so a sweep killed mid-flight checkpoints
-        everything that finished.
+        the misses (deduplicated, grouped by :func:`pair_ordered`) go to
+        :func:`~repro.experiments.parallel.run_tasks`, under this
+        runner's retry policy and task timeout.  With ``jobs<=1`` (or a
+        single miss) they execute inline on this runner, which keeps the
+        prefix memo; otherwise in worker processes.  Each completion is
+        cached and journalled *as it arrives* (not after the batch), so
+        a sweep killed mid-flight checkpoints everything that finished.
         """
-        jobs = self.jobs if jobs is None else jobs
         resolved: Dict[int, RunResult] = {}
         pending: Dict[Tuple[str, Improvement, SimConfig], List[int]] = {}
         for index, (name, improvements, config) in enumerate(specs):
@@ -382,43 +365,43 @@ class ExperimentRunner:
                 pending[key] = [index]
 
         if pending:
+            jobs = self.jobs if jobs is None else jobs
+            jobs = default_jobs() if jobs is None else max(1, jobs)
             keys = pair_ordered(pending, lambda key: (key[0], key[1]))
-            if jobs is not None and jobs <= 1:
-                results = [self.run(*key) for key in keys]
-            else:
-                from repro.experiments.parallel import RunTask, run_tasks
-
-                tasks = [
-                    RunTask(
-                        name=name,
-                        improvements=improvements,
-                        config=config,
-                        instructions=self.instructions,
-                    )
-                    for name, improvements, config in keys
-                ]
-
-                def _checkpoint(task_index: int, task: object, result: RunResult) -> None:
-                    # Worker-side executions count as this runner's
-                    # simulations: the counter means "simulations
-                    # performed on behalf of this runner", so a
-                    # warm-cache sweep is 0 regardless of jobs.
-                    self.simulations += 1
-                    key = keys[task_index]
-                    self._runs[key] = result
-                    cache_key = self._cache_key(*key)
-                    if self.cache is not None:
-                        self.cache.store(cache_key, result)
-                    if self.journal is not None:
-                        self.journal.record(cache_key, result)
-
-                results = run_tasks(
-                    tasks,
-                    jobs=jobs,
-                    policy=self.retry_policy,
-                    timeout=self.task_timeout,
-                    on_result=_checkpoint,
+            tasks = [
+                RunTask(
+                    name=name,
+                    improvements=improvements,
+                    config=config,
+                    instructions=self.instructions,
                 )
+                for name, improvements, config in keys
+            ]
+
+            def _inline(task: RunTask) -> RunResult:
+                return self._execute(task.name, task.improvements, task.config)
+
+            def _checkpoint(task_index: int, task: object, result: RunResult) -> None:
+                # Every completion, inline or from a worker, counts as
+                # one of this runner's simulations, so a warm-cache
+                # sweep is 0 regardless of jobs.
+                self.simulations += 1
+                key = keys[task_index]
+                self._runs[key] = result
+                cache_key = self._cache_key(*key)
+                if self.cache is not None:
+                    self.cache.store(cache_key, result)
+                if self.journal is not None:
+                    self.journal.record(cache_key, result)
+
+            results = run_tasks(
+                tasks,
+                jobs=jobs,
+                task_fn=_inline if jobs <= 1 or len(tasks) <= 1 else execute_task,
+                policy=self.retry_policy,
+                timeout=self.task_timeout,
+                on_result=_checkpoint,
+            )
             for key, result in zip(keys, results):
                 for index in pending[key]:
                     resolved[index] = result

@@ -1,4 +1,9 @@
-"""Data for the paper's Tables 1-3."""
+"""Data for the paper's Tables 1-3.
+
+As in :mod:`repro.experiments.figures`, each table's run list is
+declared once by its ``*_runs`` function and fanned out first thing in
+the table body.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,7 @@ from typing import Dict, List, Tuple
 
 from repro.core.convert import Converter
 from repro.core.improvements import Improvement
-from repro.experiments.runner import ExperimentRunner, geomean
+from repro.experiments.runner import ExperimentRunner, RunSpec, geomean
 from repro.sim.config import SimConfig
 from repro.sim.prefetch.ipc1 import IPC1_PREFETCHERS
 from repro.synth.suite import IPC1_TO_CVP1
@@ -64,12 +69,18 @@ _TABLE1_META = (
 )
 
 
+def table1_runs(runner: ExperimentRunner) -> List[RunSpec]:
+    """Table 1 converts but never simulates."""
+    return []
+
+
 def table1(runner: ExperimentRunner) -> List[Table1Row]:
     """Table 1: improvement summary with measured converter activity.
 
     The activity counts come from converting the sampled public suite
     with ``All_imps`` and reading the converter's statistics.
     """
+    runner.run_batch(table1_runs(runner))
     converter = Converter(Improvement.ALL)
     for name in runner.public_trace_names():
         for _ in converter.convert(runner.trace(name)):
@@ -115,10 +126,19 @@ class Table2Row:
     target_mpki_original: float
 
 
+def table2_runs(runner: ExperimentRunner) -> List[RunSpec]:
+    names = runner.ipc1_trace_names()
+    return [
+        (name, improvements, None)
+        for improvements in (Improvement.ALL, Improvement.NONE)
+        for name in names
+    ]
+
+
 def table2(runner: ExperimentRunner) -> List[Table2Row]:
     """Table 2: IPC-1 trace mapping + characterisation (All_imps, main)."""
+    runner.run_batch(table2_runs(runner))
     names = runner.ipc1_trace_names()
-    runner.sweep(names, [Improvement.ALL, Improvement.NONE])
     rows: List[Table2Row] = []
     for name in names:
         improved = runner.run(name, Improvement.ALL).stats
@@ -171,20 +191,25 @@ class Table3:
 FIXED_TRACE_IMPROVEMENTS = Improvement.ALL & ~Improvement.MEM_FOOTPRINT
 
 
+def table3_runs(runner: ExperimentRunner) -> List[RunSpec]:
+    """Both rankings: the IPC-1 baseline and the eight prefetcher
+    configs, on competition and on fixed traces."""
+    names = runner.ipc1_trace_names()
+    configs = [SimConfig.ipc1()] + [
+        SimConfig.ipc1(l1i_prefetcher=p) for p in IPC1_PREFETCHERS
+    ]
+    return [
+        (name, improvements, config)
+        for improvements in (Improvement.NONE, FIXED_TRACE_IMPROVEMENTS)
+        for config in configs
+        for name in names
+    ]
+
+
 def _ranking(
     runner: ExperimentRunner, improvements: Improvement
 ) -> List[Table3Entry]:
     names = runner.ipc1_trace_names()
-    # The whole ranking (baseline + eight prefetcher configs) as one
-    # fan-out; the per-config loops below then read memoised results.
-    runner.run_batch(
-        [
-            (name, improvements, config)
-            for config in [SimConfig.ipc1()]
-            + [SimConfig.ipc1(l1i_prefetcher=p) for p in IPC1_PREFETCHERS]
-            for name in names
-        ]
-    )
     baseline: Dict[str, float] = {}
     for name in names:
         baseline[name] = runner.run(
@@ -214,6 +239,8 @@ def table3(runner: ExperimentRunner) -> Table3:
     improvement except mem-footprint (paper footnote 4).  Both run on the
     IPC-1 simulator preset (ideal target predictor, 50/50 warm-up).
     """
+    # Both rankings as one fan-out; _ranking then reads memoised results.
+    runner.run_batch(table3_runs(runner))
     return Table3(
         competition=_ranking(runner, Improvement.NONE),
         fixed=_ranking(runner, FIXED_TRACE_IMPROVEMENTS),

@@ -1,22 +1,15 @@
-"""Sharded sweep execution: decompose, dedupe, dispatch, render.
+"""Sweep execution: one queued sweep to the text ``repro-experiment`` prints.
 
 The fleet turns one queued sweep (``SweepParams``) into the exact output
-``repro-experiment`` would print, byte for byte, by splitting the work
-into the two halves the serving tier needs:
-
-1. **warm the store** — decompose the experiment into its per-
-   trace×config run specs (the same cross products the figure/table
-   functions sweep), probe the result cache for each, shard the misses
-   into bounded :class:`~repro.experiments.parallel.RunTask` batches,
-   and dispatch the shards through a pluggable
-   :class:`ExecutorBackend` (locally the PR-7 hardened
-   :func:`~repro.experiments.parallel.run_tasks` supervisor — retries,
-   timeouts, pool recovery, graceful degradation);
-2. **render from the warm store** — call the *same*
-   :func:`repro.experiments.cli.run_experiment` the CLI calls, with a
-   fresh runner over the warmed cache, so every internal sweep resolves
-   to cache hits and the rendered text is identical to the direct path
-   by construction (the differential tests pin this).
+``repro-experiment`` would print, byte for byte: it builds one
+:class:`~repro.experiments.runner.ExperimentRunner` over the store's
+result cache (and the sweep's journal) and calls the *same*
+:func:`~repro.experiments.registry.run_experiment` the CLI calls.  The
+runner's ``run_batch`` probes the store, dispatches the misses through
+the hardened :func:`~repro.experiments.parallel.run_tasks` supervisor
+(retries, timeouts, pool recovery, graceful degradation) and
+checkpoints each completion to the store as it lands; the experiment
+then renders from the runner's memo.
 
 Rendered text is then persisted in the artifact store under the sweep's
 content fingerprint, so a repeat query skips even the rendering — the
@@ -29,34 +22,19 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.improvements import Improvement
-from repro.experiments.cache import CACHE_SCHEMA, ResultCache, run_key
-from repro.experiments.cli import run_experiment
-from repro.experiments.figures import FIGURE1_CONFIGS
+from repro.experiments import registry
+from repro.experiments.cache import CACHE_SCHEMA, ResultCache
 from repro.experiments.journal import SweepJournal
-from repro.experiments.parallel import RunTask, run_tasks
-from repro.experiments.runner import ExperimentRunner, RunResult, RunSpec, pair_ordered
-from repro.experiments.tables import FIXED_TRACE_IMPROVEMENTS
+from repro.experiments.registry import run_experiment
+from repro.experiments.runner import ExperimentRunner, RunSpec
 from repro.faults.retry import RetryPolicy
 from repro.service.store import ArtifactStore, artifact_key
-from repro.sim.config import SimConfig
-from repro.sim.prefetch.ipc1 import IPC1_PREFETCHERS
 
 #: The experiments the service accepts (the paper's figures and tables;
 #: ablations stay CLI-only for now).
-SERVICE_EXPERIMENTS: Tuple[str, ...] = (
-    "fig1", "fig2", "fig3", "fig4", "fig5", "tab1", "tab2", "tab3",
-)
-
-#: Default tasks per dispatched shard — small enough that a lost shard
-#: loses little work (every completed task checkpoints to the store as
-#: it lands anyway), large enough to amortise pool startup.
-DEFAULT_SHARD_SIZE = 64
-
-#: Progress callback: ``(done_tasks, total_tasks)`` after each shard.
-ProgressFn = Callable[[int, int], None]
+SERVICE_EXPERIMENTS: Tuple[str, ...] = registry.PAPER_EXPERIMENTS
 
 
 def _positive_int(value: Any) -> bool:
@@ -137,118 +115,31 @@ class SweepParams:
         )
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    def runner(self, cache: Optional[ResultCache] = None,
-               journal: Optional[SweepJournal] = None) -> ExperimentRunner:
-        """A serial runner over ``cache`` with these sampling params."""
+    def runner(
+        self,
+        cache: Optional[ResultCache] = None,
+        journal: Optional[SweepJournal] = None,
+        jobs: Optional[int] = 1,
+        retry_policy: Optional[RetryPolicy] = None,
+        task_timeout: Optional[float] = None,
+    ) -> ExperimentRunner:
+        """A runner over ``cache`` with these sampling params."""
         return ExperimentRunner(
             instructions=self.instructions,
             limit=self.limit,
             stride=self.stride,
             cache=cache,
-            jobs=1,
+            jobs=jobs,
             engine=self.engine,
             journal=journal,
+            retry_policy=retry_policy,
+            task_timeout=task_timeout,
         )
 
 
 def sweep_specs(experiment: str, runner: ExperimentRunner) -> List[RunSpec]:
-    """The per-trace×config runs ``experiment`` will request.
-
-    Mirrors the sweeps inside :mod:`repro.experiments.figures` and
-    :mod:`~repro.experiments.tables` — the fleet warms exactly these
-    keys so the later render is all cache hits.  ``tab1`` is
-    conversion-only (no simulations) and decomposes to nothing.
-    """
-    public = runner.public_trace_names()
-    ipc1 = runner.ipc1_trace_names()
-    figure1_imps = [Improvement.NONE] + [imp for _, imp in FIGURE1_CONFIGS]
-    if experiment in ("fig1", "fig2"):
-        return [(name, imp, None) for imp in figure1_imps for name in public]
-    if experiment == "fig3":
-        imps = [Improvement.NONE, Improvement.BRANCH_REGS, Improvement.FLAG_REG]
-        return [(name, imp, None) for imp in imps for name in public]
-    if experiment == "fig4":
-        imps = [Improvement.NONE, Improvement.BASE_UPDATE]
-        return [(name, imp, None) for imp in imps for name in public]
-    if experiment == "fig5":
-        imps = [Improvement.NONE, Improvement.CALL_STACK]
-        return [(name, imp, None) for imp in imps for name in public]
-    if experiment == "tab1":
-        return []
-    if experiment == "tab2":
-        imps = [Improvement.ALL, Improvement.NONE]
-        return [(name, imp, None) for imp in imps for name in ipc1]
-    if experiment == "tab3":
-        configs = [SimConfig.ipc1()] + [
-            SimConfig.ipc1(l1i_prefetcher=p) for p in IPC1_PREFETCHERS
-        ]
-        return [
-            (name, imp, config)
-            for imp in (Improvement.NONE, FIXED_TRACE_IMPROVEMENTS)
-            for config in configs
-            for name in ipc1
-        ]
-    raise ValueError(f"unknown experiment {experiment!r}")
-
-
-def shard_tasks(tasks: List[RunTask], shard_size: int) -> List[List[RunTask]]:
-    """Split ``tasks`` into order-preserving shards of ``shard_size``."""
-    if shard_size <= 0:
-        raise ValueError(f"shard_size must be positive, got {shard_size}")
-    return [
-        tasks[start:start + shard_size]
-        for start in range(0, len(tasks), shard_size)
-    ]
-
-
-class ExecutorBackend:
-    """Where shards run.  The local backend is a process pool; the
-    interface is sized so a multi-machine dispatcher (same ``run``
-    contract, remote workers) slots in without touching the fleet."""
-
-    def run(
-        self,
-        tasks: List[RunTask],
-        on_result: Callable[[int, RunTask, RunResult], None],
-    ) -> List[RunResult]:
-        """Execute ``tasks``; results in task order.
-
-        ``on_result(index, task, result)`` fires as each completion
-        lands (the fleet checkpoints it to the store immediately, so a
-        shard lost mid-flight keeps everything that finished).
-        """
-        raise NotImplementedError
-
-
-class LocalPoolBackend(ExecutorBackend):
-    """Shards on this machine via the hardened PR-7 pool supervisor."""
-
-    def __init__(
-        self,
-        jobs: Optional[int] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        task_timeout: Optional[float] = None,
-    ) -> None:
-        self.jobs = jobs
-        self.retry_policy = retry_policy
-        self.task_timeout = task_timeout
-
-    def run(
-        self,
-        tasks: List[RunTask],
-        on_result: Callable[[int, RunTask, RunResult], None],
-    ) -> List[RunResult]:
-        return run_tasks(
-            tasks,
-            jobs=self.jobs,
-            policy=self.retry_policy,
-            timeout=self.task_timeout,
-            on_result=on_result,
-        )
-
-    def describe(self) -> str:
-        jobs = self.jobs if self.jobs is not None else "all"
-        return f"local-pool jobs={jobs}"
+    """The runs ``experiment`` requests (its registry declaration)."""
+    return registry.experiment(experiment).runs(runner)
 
 
 @dataclass
@@ -261,12 +152,6 @@ class FleetOutcome:
     #: Simulations actually performed by this execution (0 on any warm
     #: path — the differential gate and CI smoke assert on this).
     simulations: int
-    #: Run specs resolved from the store/journal without simulating.
-    cache_hits: int
-    #: Run specs dispatched to the backend.
-    dispatched: int
-    #: Shards the dispatch was split into.
-    shards: int
     #: True when the rendered artifact itself was already stored.
     warm_artifact: bool
 
@@ -277,9 +162,6 @@ class FleetOutcome:
             "experiment": self.experiment,
             "artifact_key": self.artifact_key,
             "simulations": self.simulations,
-            "cache_hits": self.cache_hits,
-            "dispatched": self.dispatched,
-            "shards": self.shards,
             "warm_artifact": self.warm_artifact,
         }
 
@@ -289,9 +171,11 @@ class Fleet:
 
     Args:
         store: The artifact store shared with the one-shot CLIs.
-        backend: Shard executor (defaults to a serial-friendly local
-            pool backend).
-        shard_size: Tasks per dispatched shard.
+        jobs: Worker processes per sweep (1 = inline in the calling
+            thread; ``None`` = all cores).
+        retry_policy: Task retry policy (``None`` = the supervisor's
+            default).
+        task_timeout: Per-task wall-clock bound in seconds (pool mode).
         journal_dir: When set, each sweep checkpoints completions to
             ``<journal_dir>/<sweep-key>.jsonl`` and replays it on the
             next attempt — a service killed mid-sweep resumes where it
@@ -301,13 +185,15 @@ class Fleet:
     def __init__(
         self,
         store: ArtifactStore,
-        backend: Optional[ExecutorBackend] = None,
-        shard_size: int = DEFAULT_SHARD_SIZE,
+        jobs: Optional[int] = 1,
+        retry_policy: Optional[RetryPolicy] = None,
+        task_timeout: Optional[float] = None,
         journal_dir: Optional[Path] = None,
     ) -> None:
         self.store = store
-        self.backend = backend if backend is not None else LocalPoolBackend(jobs=1)
-        self.shard_size = shard_size
+        self.jobs = jobs
+        self.retry_policy = retry_policy
+        self.task_timeout = task_timeout
         self.journal_dir = Path(journal_dir) if journal_dir is not None else None
 
     def _journal(self, params: SweepParams) -> Optional[SweepJournal]:
@@ -316,11 +202,7 @@ class Fleet:
         path = self.journal_dir / f"{params.key()}.jsonl"
         return SweepJournal(path, resume=path.exists())
 
-    def execute(
-        self,
-        params: SweepParams,
-        progress: Optional[ProgressFn] = None,
-    ) -> FleetOutcome:
+    def execute(self, params: SweepParams) -> FleetOutcome:
         """Run one sweep to a rendered artifact (the job body).
 
         Raises what the supervisor raises —
@@ -339,13 +221,9 @@ class Fleet:
                 text=stored["text"],
                 artifact_key=key,
                 simulations=0,
-                cache_hits=0,
-                dispatched=0,
-                shards=0,
                 warm_artifact=True,
             )
 
-        cache = self.store.result_cache()
         journal = self._journal(params)
         try:
             with obs.span(
@@ -353,19 +231,17 @@ class Fleet:
                 experiment=params.experiment,
                 instructions=params.instructions,
             ) as sweep_span:
-                probe = params.runner(cache=cache, journal=journal)
-                cache_hits, pending = self._probe(params, probe, cache, journal)
-                dispatched, shards = self._dispatch(
-                    params, pending, cache, journal, progress
+                runner = params.runner(
+                    cache=self.store.result_cache(),
+                    journal=journal,
+                    jobs=self.jobs,
+                    retry_policy=self.retry_policy,
+                    task_timeout=self.task_timeout,
                 )
-                # Render with the exact function the CLI uses, over the
-                # now-warm store: byte-identical output by construction.
-                render = params.runner(cache=cache, journal=journal)
-                text = run_experiment(params.experiment, render)
-                sweep_span.set(
-                    dispatched=dispatched, cache_hits=cache_hits,
-                    render_simulations=render.simulations,
-                )
+                # The exact function the CLI uses: byte-identical output
+                # by construction.
+                text = run_experiment(params.experiment, runner)
+                sweep_span.set(simulations=runner.simulations)
         finally:
             if journal is not None:
                 journal.close()
@@ -381,75 +257,6 @@ class Fleet:
             experiment=params.experiment,
             text=text,
             artifact_key=key,
-            simulations=dispatched + render.simulations,
-            cache_hits=cache_hits,
-            dispatched=dispatched,
-            shards=shards,
+            simulations=runner.simulations,
             warm_artifact=False,
         )
-
-    def _probe(
-        self,
-        params: SweepParams,
-        probe: ExperimentRunner,
-        cache: ResultCache,
-        journal: Optional[SweepJournal],
-    ) -> Tuple[int, List[RunTask]]:
-        """Resolve the sweep's specs against the store; return the misses,
-        grouped by (trace, improvements) pair like ``run_batch``'s."""
-        seen: Set[Tuple[str, Improvement, SimConfig]] = set()
-        cache_hits = 0
-        pending: List[RunTask] = []
-        for name, improvements, config in sweep_specs(params.experiment, probe):
-            config = probe._normalize_config(config)
-            identity = (name, improvements, config)
-            if identity in seen:
-                continue
-            seen.add(identity)
-            cache_key = run_key(name, improvements, config, params.instructions)
-            result = journal.lookup(cache_key) if journal is not None else None
-            if result is None:
-                result = cache.load(cache_key)
-            if result is not None:
-                cache_hits += 1
-                continue
-            pending.append(
-                RunTask(
-                    name=name,
-                    improvements=improvements,
-                    config=config,
-                    instructions=params.instructions,
-                )
-            )
-        return cache_hits, pair_ordered(
-            pending, lambda task: (task.name, task.improvements)
-        )
-
-    def _dispatch(
-        self,
-        params: SweepParams,
-        pending: List[RunTask],
-        cache: ResultCache,
-        journal: Optional[SweepJournal],
-        progress: Optional[ProgressFn],
-    ) -> Tuple[int, int]:
-        """Run the misses shard by shard, checkpointing each completion."""
-        if not pending:
-            return 0, 0
-
-        def checkpoint(index: int, task: RunTask, result: RunResult) -> None:
-            cache_key = run_key(
-                task.name, task.improvements, task.config, task.instructions
-            )
-            cache.store(cache_key, result)
-            if journal is not None:
-                journal.record(cache_key, result)
-
-        shards = shard_tasks(pending, self.shard_size)
-        done = 0
-        for shard in shards:
-            self.backend.run(shard, on_result=checkpoint)
-            done += len(shard)
-            if progress is not None:
-                progress(done, len(pending))
-        return len(pending), len(shards)

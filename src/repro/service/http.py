@@ -17,7 +17,7 @@ Routes::
 
 Figure/table GETs take the sweep parameters as query string
 (``?instructions=12000&stride=3&limit=2&engine=vector``) and execute
-synchronously — a cold request simulates (through the fleet, sharded),
+synchronously — a cold request simulates (through the fleet),
 a warm one serves the stored artifact with zero simulations.  The
 response carries ``X-Repro-Simulations`` (how many simulations the
 request performed) and ``X-Repro-Artifact`` (the artifact key) so
@@ -33,13 +33,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
+from repro.experiments import registry
 from repro.obs import metrics
 from repro.service.fleet import SERVICE_EXPERIMENTS, Fleet, FleetOutcome, SweepParams
 from repro.service.queue import FAILED, JobQueue
-
-#: Experiment names by endpoint family.
-_FIGURES = tuple(n for n in SERVICE_EXPERIMENTS if n.startswith("fig"))
-_TABLES = tuple(n for n in SERVICE_EXPERIMENTS if n.startswith("tab"))
 
 
 def _request_counter() -> Any:
@@ -151,7 +148,7 @@ class ExperimentService:
         self, family: str, name: str, query: Dict[str, Any]
     ) -> FleetOutcome:
         """``GET /v1/figures/<name>`` and ``GET /v1/tables/<name>``."""
-        known = _FIGURES if family == "figures" else _TABLES
+        known = registry.family(family)
         if name not in known:
             raise ServiceError(
                 404, f"unknown {family[:-1]} {name!r}; expected one of "

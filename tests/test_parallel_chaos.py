@@ -30,6 +30,7 @@ from repro.experiments.parallel import (
     execute_task,
     run_tasks,
 )
+from repro.experiments.runner import ExperimentRunner
 from repro.faults import FaultPlan, RetryPolicy
 from repro.sim.config import SimConfig
 
@@ -175,6 +176,61 @@ def test_pool_recovery_error_when_degradation_disabled():
             max_pool_restarts=0,
             allow_degrade=False,
         )
+
+
+# ----------------------------------------------------------------------
+# serial sweeps get the same supervisor
+# ----------------------------------------------------------------------
+
+
+def _serial_runner():
+    return ExperimentRunner(
+        instructions=INSTRUCTIONS, jobs=1, retry_policy=RetryPolicy(attempts=2)
+    )
+
+
+def _specs():
+    return [(task.name, task.improvements, task.config) for task in _tasks()]
+
+
+def test_serial_batch_retries_transient_exception(baseline):
+    plan = FaultPlan.parse("worker.exc:count=1")
+    faults.install(plan)
+    # Without a retry the injected exception reaches the caller ...
+    no_retry = ExperimentRunner(
+        instructions=INSTRUCTIONS, jobs=1, retry_policy=RetryPolicy(attempts=1)
+    )
+    with pytest.raises(TaskFailure):
+        no_retry.run_batch(_specs(), jobs=1)
+    # ... and with one the batch recovers, byte-identically.
+    faults.install(plan)  # fresh schedule
+    runner = _serial_runner()
+    results = runner.run_batch(_specs(), jobs=1)
+    _assert_identical(results, baseline)
+    assert runner.simulations == len(baseline)
+
+
+def test_serial_batch_quarantines_exhausted_tasks():
+    faults.install(FaultPlan.parse("worker.exc:count=0"))  # every attempt
+    runner = _serial_runner()
+    with pytest.raises(TaskFailure) as excinfo:
+        runner.run_batch(_specs(), jobs=1)
+    assert {task.name for task, _ in excinfo.value.failures} == set(SAMPLE_NAMES)
+    assert runner.simulations == 0
+
+
+def test_serial_cli_exits_with_quarantine_report(capsys):
+    from repro.experiments.cli import EXIT_TASK_FAILURE, main
+
+    faults.install(FaultPlan.parse("worker.exc:count=0"))
+    code = main([
+        "fig1", "--stride", "27", "--instructions", str(INSTRUCTIONS),
+        "--limit", "2", "--no-cache", "--retries", "1", "--jobs", "1",
+    ])
+    assert code == EXIT_TASK_FAILURE
+    err = capsys.readouterr().err
+    assert "quarantined task" in err
+    assert "injected transient worker exception" in err
 
 
 # ----------------------------------------------------------------------

@@ -16,10 +16,9 @@ import pytest
 
 from repro.core.convert import Converter
 from repro.core.improvements import Improvement
-from repro.experiments import parallel
 from repro.experiments.runner import ExperimentRunner, pair_ordered
 from repro.experiments.tables import FIXED_TRACE_IMPROVEMENTS
-from repro.service.fleet import Fleet, LocalPoolBackend, SweepParams
+from repro.service.fleet import Fleet, SweepParams
 from repro.service.store import ArtifactStore
 from repro.sim.config import SimConfig
 from repro.sim.simulator import Simulator
@@ -84,18 +83,15 @@ def test_serial_batch_converts_each_pair_once(count_conversions):
     assert runner.simulations == len(tab3_specs())
 
 
-def test_fleet_converts_each_pair_once(tmp_path, monkeypatch, count_conversions):
-    # A clean process-local runner pool: the inline backend runs every
-    # task through it, and a slot left by another test would hide a miss.
-    monkeypatch.setattr(parallel, "_WORKER_RUNNERS", {})
-    fleet = Fleet(ArtifactStore(tmp_path), backend=LocalPoolBackend(jobs=1))
+def test_fleet_converts_each_pair_once(tmp_path, count_conversions):
+    fleet = Fleet(ArtifactStore(tmp_path))
     params = SweepParams(
         experiment="tab3", instructions=400, stride=25, limit=2
     )
     outcome = fleet.execute(params)
     traces = params.runner().ipc1_trace_names()
     assert len(traces) == 2
-    assert outcome.dispatched == 9 * 2 * len(traces)
+    assert outcome.simulations == 9 * 2 * len(traces)
     assert len(count_conversions) == 2 * len(traces)
 
 

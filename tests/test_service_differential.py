@@ -9,15 +9,11 @@ fleet counters, not by timing).
 
 import pytest
 
+from repro.experiments import parallel
+from repro.experiments.cache import ResultCache
 from repro.experiments.cli import run_experiment
 from repro.experiments.runner import ExperimentRunner
-from repro.service.fleet import (
-    Fleet,
-    LocalPoolBackend,
-    SweepParams,
-    shard_tasks,
-    sweep_specs,
-)
+from repro.service.fleet import Fleet, SweepParams, sweep_specs
 from repro.service.store import ArtifactStore
 
 #: Tiny sampling: every experiment in milliseconds, still real sweeps.
@@ -47,7 +43,7 @@ def _direct(experiment):
 
 @pytest.mark.parametrize("experiment", GOLDEN)
 def test_service_is_byte_identical_to_direct_path(experiment, tmp_path):
-    fleet = Fleet(ArtifactStore(tmp_path), backend=LocalPoolBackend(jobs=1))
+    fleet = Fleet(ArtifactStore(tmp_path))
     served = fleet.execute(_params(experiment))
     direct_text, direct_simulations = _direct(experiment)
     assert served.text == direct_text
@@ -61,73 +57,50 @@ def test_service_is_byte_identical_to_direct_path(experiment, tmp_path):
     assert warm.warm_artifact is True
 
 
-def test_result_cache_warmth_survives_artifact_invalidation(tmp_path):
+def test_result_cache_warmth_survives_artifact_invalidation(tmp_path, monkeypatch):
     """With the rendered artifact gone, the render still simulates
-    nothing — every run resolves from the result cache."""
+    nothing — every run resolves from the result cache, loaded once."""
     store = ArtifactStore(tmp_path)
-    fleet = Fleet(store, backend=LocalPoolBackend(jobs=1))
-    params = _params("fig3")
+    fleet = Fleet(store)
+    params = _params("tab3")
     first = fleet.execute(params)
-    assert first.simulations > 0
+    assert first.simulations == 2 * 9 * LIMIT
     # Drop only the rendered artifact, keeping the run results.
     artifact_path = store.artifacts().path(first.artifact_key)
     artifact_path.unlink()
+    loads = []
+    load = ResultCache.load
+
+    def counting_load(self, key):
+        loads.append(key)
+        return load(self, key)
+
+    monkeypatch.setattr(ResultCache, "load", counting_load)
     second = fleet.execute(params)
     assert second.simulations == 0
     assert second.warm_artifact is False
-    assert second.cache_hits > 0
+    assert len(loads) == len(set(loads)) == first.simulations
     assert second.text == first.text
 
 
 def test_store_warmth_survives_fleet_restart(tmp_path):
     """A new fleet over the same root (a service restart) is warm."""
-    first = Fleet(ArtifactStore(tmp_path), backend=LocalPoolBackend(jobs=1))
+    first = Fleet(ArtifactStore(tmp_path))
     cold = first.execute(_params("fig4"))
     assert cold.simulations > 0
-    second = Fleet(ArtifactStore(tmp_path), backend=LocalPoolBackend(jobs=1))
+    second = Fleet(ArtifactStore(tmp_path))
     warm = second.execute(_params("fig4"))
     assert warm.simulations == 0
     assert warm.text == cold.text
 
 
-def test_sweep_specs_cover_every_render_need(tmp_path):
-    """Rendering after a fleet warm-up never simulates: the decomposed
-    spec list covers every run the figure/table functions request."""
-    for experiment in GOLDEN:
-        fleet = Fleet(
-            ArtifactStore(tmp_path / experiment),
-            backend=LocalPoolBackend(jobs=1),
-        )
-        outcome = fleet.execute(_params(experiment))
-        # dispatched tasks account for every simulation; the render
-        # itself found everything in the store.
-        assert outcome.simulations == outcome.dispatched
-
-
-def test_shard_tasks_partitions_in_order():
-    tasks = list(range(10))
-    shards = shard_tasks(tasks, 4)
-    assert shards == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
-    assert shard_tasks([], 4) == []
-    with pytest.raises(ValueError):
-        shard_tasks(tasks, 0)
-
-
-def test_sharded_dispatch_matches_unsharded(tmp_path):
-    """Shard size must not perturb results (same store contents)."""
-    coarse = Fleet(
-        ArtifactStore(tmp_path / "coarse"),
-        backend=LocalPoolBackend(jobs=1),
-        shard_size=1000,
-    ).execute(_params("fig3"))
-    fine = Fleet(
-        ArtifactStore(tmp_path / "fine"),
-        backend=LocalPoolBackend(jobs=1),
-        shard_size=2,
-    ).execute(_params("fig3"))
-    assert fine.text == coarse.text
-    assert fine.dispatched == coarse.dispatched
-    assert fine.shards > coarse.shards
+def test_serial_fleet_keeps_no_process_runner(tmp_path, monkeypatch):
+    """At jobs=1 the sweep runs on its own runner, which dies with the
+    request: the serving process keeps no traces or results after it."""
+    monkeypatch.setattr(parallel, "_WORKER_RUNNERS", {})
+    outcome = Fleet(ArtifactStore(tmp_path), jobs=1).execute(_params("fig4"))
+    assert outcome.simulations > 0
+    assert parallel._WORKER_RUNNERS == {}
 
 
 def test_sweep_params_fingerprint_distinguishes_inputs():

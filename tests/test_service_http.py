@@ -11,7 +11,7 @@ import threading
 import pytest
 
 from repro.service.client import ServiceClient, ServiceError as ClientError
-from repro.service.fleet import Fleet, LocalPoolBackend, SweepParams
+from repro.service.fleet import Fleet
 from repro.service.http import (
     ExperimentService,
     ServiceError,
@@ -29,7 +29,7 @@ TINY = {"experiment": "fig3", "instructions": 800, "stride": 27}
 def service(tmp_path):
     """A service whose worker thread is NOT running — submissions stay
     queued, so dedup and state assertions cannot race."""
-    fleet = Fleet(ArtifactStore(tmp_path), backend=LocalPoolBackend(jobs=1))
+    fleet = Fleet(ArtifactStore(tmp_path))
     svc = ExperimentService(fleet, start_worker=False)
     yield svc
     svc.queue.close()
@@ -216,7 +216,7 @@ def test_queue_close_unblocks_take():
 
 
 def test_server_round_trip(tmp_path):
-    fleet = Fleet(ArtifactStore(tmp_path), backend=LocalPoolBackend(jobs=1))
+    fleet = Fleet(ArtifactStore(tmp_path))
     server = make_server("127.0.0.1", 0, fleet)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
