@@ -94,6 +94,24 @@ def test_store_warmth_survives_fleet_restart(tmp_path):
     assert warm.text == cold.text
 
 
+def test_sweep_specs_cover_every_render_need(tmp_path):
+    """Rendering after a warm-up over ``sweep_specs`` never simulates:
+    the declared spec list covers every run the figure/table functions
+    request, and a cold fleet sweep performs exactly those runs."""
+    for experiment in GOLDEN:
+        runner = ExperimentRunner(
+            instructions=INSTRUCTIONS, stride=STRIDE, limit=LIMIT, jobs=1
+        )
+        runner.run_batch(sweep_specs(experiment, runner))
+        declared = runner.simulations
+        run_experiment(experiment, runner)
+        assert runner.simulations == declared
+        outcome = Fleet(ArtifactStore(tmp_path / experiment)).execute(
+            _params(experiment)
+        )
+        assert outcome.simulations == declared
+
+
 def test_serial_fleet_keeps_no_process_runner(tmp_path, monkeypatch):
     """At jobs=1 the sweep runs on its own runner, which dies with the
     request: the serving process keeps no traces or results after it."""
