@@ -166,10 +166,7 @@ def bench_sim(
     columnar vector engine (warm runs additionally reuse the simulator's
     columnar memo, component pool, and batched component plans).
     ``engine_speedup`` is vector-warm over scalar-warm throughput — the
-    number the CI bench-smoke job gates on — and
-    ``component_batch_speedup`` isolates the batched component models:
-    vector-warm with plans on versus the same warm simulator forced onto
-    the scalar per-call component path (``batch_components=False``).
+    number the CI bench-smoke job gates on.
     """
     from repro.core.convert import Converter
     from repro.core.improvements import Improvement
@@ -232,13 +229,6 @@ def bench_sim(
             vector_warm = _timed_variant(
                 lambda: vector_sim.run(instrs, rules), len(instrs), repeats
             )
-            nobatch_sim = Simulator(
-                SimConfig.main(), engine="vector", batch_components=False
-            )
-            nobatch_sim.run(instrs, rules)  # populate cache + memo + pool
-            vector_warm_nobatch = _timed_variant(
-                lambda: nobatch_sim.run(instrs, rules), len(instrs), repeats
-            )
             workloads[name] = {
                 "decode_cold": decode_cold,
                 "decode_warm": decode_warm,
@@ -249,13 +239,10 @@ def bench_sim(
                 "speedup": warm["records_per_sec"] / cold["records_per_sec"],
                 "vector_cold": vector_cold,
                 "vector_warm": vector_warm,
-                "vector_warm_nobatch": vector_warm_nobatch,
                 "engine_speedup": vector_warm["records_per_sec"]
                 / warm["records_per_sec"],
                 "engine_speedup_cold": vector_cold["records_per_sec"]
                 / cold["records_per_sec"],
-                "component_batch_speedup": vector_warm["records_per_sec"]
-                / vector_warm_nobatch["records_per_sec"],
             }
     return payload
 

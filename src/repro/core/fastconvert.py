@@ -33,8 +33,10 @@ golden fixture and on property-based synthetic corpora.
 from __future__ import annotations
 
 import struct
+from time import perf_counter
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Tuple, Union
 
+from repro import obs
 from repro.champsim.regs import REG_FORGED_X0, champsim_reg
 from repro.champsim.trace import _STRUCT, MAX_DST_REGS, MAX_SRC_REGS
 from repro.core.convert import ConversionStats
@@ -140,10 +142,8 @@ class BlockConverter:
     """Carried state for one fused block-conversion stream.
 
     Owns the live register file, the per-stream source/destination memos,
-    and the static-memo hit accounting, so a caller can drive conversion
-    block by block — :func:`convert_blocks_to_bytes` for the plain fast
-    path, :mod:`repro.core.obsconvert` to interleave sampled per-record
-    profiling blocks between fused ones.  Register state carries across
+    and the static-memo hit accounting, so :func:`convert_blocks_to_bytes`
+    can drive conversion block by block.  Register state carries across
     :meth:`convert_block` calls exactly as the per-record reader does.
     """
 
@@ -392,10 +392,72 @@ def convert_blocks_to_bytes(
     ``converter.convert(source)`` record by record, and
     ``converter.stats`` ends up equal as well.  Register state carries
     across block boundaries exactly as the per-record reader does.
+
+    The stream measures itself the same way whether observability is on
+    or off: three ``perf_counter`` reads per block split the time spent
+    inside the generator into block decode and transform+encode, leaving
+    out whatever the consumer does between chunks.  With observability
+    on, both totals land as ``convert.block_decode`` and
+    ``convert.transform`` children of one ``convert.stream`` span, and
+    the record/block/instruction/static-memo counters are bumped once
+    per stream.
     """
     reader = (
         source if isinstance(source, CvpTraceReader) else CvpTraceReader(source)
     )
     block_converter = BlockConverter(converter)
-    for block in reader.blocks(block_size):
-        yield block_converter.convert_block(block)
+    # The converter's stats accumulate across files; count this stream's
+    # contribution only.
+    instrs_at_start = converter.stats.instructions_out
+    decode_time = 0.0
+    transform_time = 0.0
+    n_blocks = 0
+    n_records = 0
+    with obs.span(
+        "convert.stream",
+        block_size=block_size,
+        improvements=converter.improvements.value,
+    ) as stream:
+        blocks = reader.blocks(block_size)
+        stream_start = resumed = perf_counter()
+        for block in blocks:
+            decoded = perf_counter()
+            chunk = block_converter.convert_block(block)
+            converted = perf_counter()
+            decode_time += decoded - resumed
+            transform_time += converted - decoded
+            n_blocks += 1
+            n_records += len(block)
+            yield chunk
+            resumed = perf_counter()
+        decode_time += perf_counter() - resumed
+
+        obs.emit_child_span(
+            "convert.block_decode", stream_start, decode_time,
+            {"blocks": n_blocks},
+        )
+        obs.emit_child_span(
+            "convert.transform", stream_start, transform_time,
+            {"records": n_records},
+        )
+        stream.set(blocks=n_blocks, records=n_records)
+
+    if obs.enabled():
+        obs.counter(
+            "repro_convert_records_total", "CVP records converted."
+        ).inc(n_records)
+        obs.counter(
+            "repro_convert_blocks_total", "Record blocks converted."
+        ).inc(n_blocks)
+        obs.counter(
+            "repro_convert_instructions_total", "ChampSim instructions emitted."
+        ).inc(converter.stats.instructions_out - instrs_at_start)
+        lookups = block_converter.static_lookups
+        obs.counter(
+            "repro_convert_static_memo_lookups_total",
+            "Static-instruction memo probes.",
+        ).inc(lookups)
+        obs.counter(
+            "repro_convert_static_memo_hits_total",
+            "Static-instruction memo hits.",
+        ).inc(lookups - block_converter.static_misses)

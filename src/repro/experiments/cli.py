@@ -20,6 +20,7 @@ from repro.experiments.registry import NAMES, PAPER_EXPERIMENTS, run_experiment
 from repro.experiments.runner import ExperimentRunner
 from repro.faults.retry import RetryPolicy
 from repro.obs import logutil
+from repro.sim.simulator import ENGINE_NAMES
 
 #: Exit codes: 0 success, 1 task failure (some runs kept failing and
 #: were quarantined), 2 usage error (argparse), 3 infrastructure
@@ -69,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--engine",
         default=None,
-        choices=["scalar", "vector"],
+        choices=ENGINE_NAMES,
         help=(
             "override the simulator engine for every run (vector is the "
             "bit-identical columnar batch engine; default: per-config)"

@@ -107,12 +107,14 @@ def emit_child_span(
 ) -> None:
     """Emit a pre-measured span as a child of the current span.
 
-    For attribution records whose timing was sampled or computed rather
-    than measured by a ``with`` block (e.g. per-improvement convert time
-    scaled from a staged profile).
+    For time accumulated piecewise rather than measured by one ``with``
+    block (e.g. a conversion stream's per-block decode time).  ``start``
+    is a :func:`time.perf_counter` reading; it is mapped onto the wall
+    clock that ``with`` spans record.
     """
     if not state.enabled():
         return
+    wall_start = time.time() - (time.perf_counter() - start)
     events.emit_span(
-        name, start, duration, next(_ids), _current.get(), attrs or None
+        name, wall_start, duration, next(_ids), _current.get(), attrs or None
     )

@@ -31,6 +31,7 @@ from repro.experiments.registry import run_experiment
 from repro.experiments.runner import ExperimentRunner, RunSpec
 from repro.faults.retry import RetryPolicy
 from repro.service.store import ArtifactStore, artifact_key
+from repro.sim.simulator import ENGINE_NAMES
 
 #: The experiments the service accepts (the paper's figures and tables;
 #: ablations stay CLI-only for now).
@@ -82,8 +83,9 @@ class SweepParams:
             raise ValueError("stride must be a positive integer")
         if limit is not None and not _positive_int(limit):
             raise ValueError("limit must be a positive integer or null")
-        if engine is not None and engine not in ("scalar", "vector"):
-            raise ValueError("engine must be 'scalar', 'vector', or null")
+        if engine is not None and engine not in ENGINE_NAMES:
+            names = ", ".join(repr(name) for name in ENGINE_NAMES)
+            raise ValueError(f"engine must be {names}, or null")
         return cls(
             experiment=experiment,
             instructions=instructions,

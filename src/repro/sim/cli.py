@@ -14,7 +14,7 @@ from repro import obs
 from repro.champsim.branch_info import BranchRules
 from repro.obs import logutil
 from repro.sim.config import SimConfig
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import ENGINE_NAMES, Simulator
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--engine",
         default="scalar",
-        choices=["scalar", "vector"],
+        choices=ENGINE_NAMES,
         help="engine implementation (vector is the bit-identical columnar "
         "batch engine; scalar is the per-instruction reference)",
     )

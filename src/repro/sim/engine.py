@@ -77,48 +77,12 @@ class _TimedCalls:
         return timed
 
 
-def wrap_branch_components(
-    component_time: Dict[str, float],
-    direction: Any,
-    btb: Any,
-    ras: Any,
-    ittage: Any,
-    l1i_pf: Any,
-) -> tuple:
-    """Install :class:`_TimedCalls` over the branch/prefetch components.
-
-    Shared between the scalar and vector engines so both attribute the
-    same methods to the same ``sim.<component>`` buckets.
-    """
-    direction = _TimedCalls(
-        direction, component_time, {"predict": "branch", "update": "branch"}
-    )
-    btb = _TimedCalls(
-        btb, component_time, {"lookup": "branch", "install": "branch"}
-    )
-    ras = _TimedCalls(ras, component_time, {"pop": "branch", "push": "branch"})
-    if ittage is not None:
-        ittage = _TimedCalls(
-            ittage, component_time, {"predict": "branch", "update": "branch"}
-        )
-    if l1i_pf is not None:
-        l1i_pf = _TimedCalls(l1i_pf, component_time, {"on_fetch": "prefetch"})
-    return direction, btb, ras, ittage, l1i_pf
-
-
-def emit_engine_obs(component_time: Dict[str, float], n: int, cycles: int) -> None:
-    """Emit the per-component spans and engine counters for one run."""
+def count_engine_run(n: int, cycles: int) -> None:
+    """Bump the engine instruction and cycle counters (observability on)."""
     from repro import obs
 
-    start = perf_counter()
-    for component, seconds in component_time.items():
-        if seconds > 0.0:
-            obs.emit_child_span(
-                f"sim.{component}",
-                start,
-                seconds,
-                {"instructions": n},
-            )
+    if not obs.enabled():
+        return
     obs.counter(
         "repro_sim_instructions_total",
         "Instructions simulated (incl. warm-up).",
@@ -185,9 +149,6 @@ class Engine:
     ``component_pool`` (also simulator-supplied) recycles the previous
     run's component objects when the engine type and configuration
     match, skipping reconstruction; see :class:`ComponentPool`.
-    ``batch_components`` lets callers force the scalar per-call
-    component path in engines that support batched component plans (the
-    vector engine); the scalar engine ignores it.
     """
 
     def __init__(
@@ -195,11 +156,9 @@ class Engine:
         config: SimConfig,
         decode_cache: "Optional[DecodeCache]" = None,
         component_pool: "Optional[ComponentPool]" = None,
-        batch_components: bool = True,
     ) -> None:
         self.config = config
         self.decode_cache = decode_cache
-        self._batch_components = batch_components
         self.stats = SimStats()
         pool = component_pool
         if (
@@ -299,9 +258,23 @@ class Engine:
                     "prefetch_instruction": "prefetch",
                 },
             )
-            direction, btb, ras, ittage, l1i_pf = wrap_branch_components(
-                component_time, direction, btb, ras, ittage, l1i_pf
+            direction = _TimedCalls(
+                direction, component_time, {"predict": "branch", "update": "branch"}
             )
+            btb = _TimedCalls(
+                btb, component_time, {"lookup": "branch", "install": "branch"}
+            )
+            ras = _TimedCalls(
+                ras, component_time, {"pop": "branch", "push": "branch"}
+            )
+            if ittage is not None:
+                ittage = _TimedCalls(
+                    ittage, component_time, {"predict": "branch", "update": "branch"}
+                )
+            if l1i_pf is not None:
+                l1i_pf = _TimedCalls(
+                    l1i_pf, component_time, {"on_fetch": "prefetch"}
+                )
 
         n = len(decoded)
         warmup = int(n * config.warmup_fraction)
@@ -546,5 +519,13 @@ class Engine:
         stats.cycles = max(1, last_retire - warmup_base_cycle)
 
         if component_time is not None:
-            emit_engine_obs(component_time, n, stats.cycles)
+            from repro import obs
+
+            start = perf_counter()
+            for component, seconds in component_time.items():
+                if seconds > 0.0:
+                    obs.emit_child_span(
+                        f"sim.{component}", start, seconds, {"instructions": n}
+                    )
+            count_engine_run(n, stats.cycles)
         return stats

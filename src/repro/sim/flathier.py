@@ -249,10 +249,6 @@ class FlatHierarchy:
         _fill(l1, line, arrival)
         return latency, SRC_DRAM
 
-    def access_instruction_fast(self, line: int, now: int) -> Tuple[int, int]:
-        """Demand instruction fetch of the aligned ``line``."""
-        return self.demand_fast(self.l1i, line, now)
-
     def access_data_fast(
         self, ip: int, addr: int, now: int, is_write: bool = False
     ) -> Tuple[int, int]:

@@ -33,9 +33,10 @@ from repro.sim.stats import SimStats
 
 TraceLike = Union[str, Path, Sequence[ChampSimInstr], Sequence[DecodedInstr]]
 
-#: Engine implementations selectable via ``SimConfig.engine`` or the
-#: ``Simulator(engine=...)`` override.  Values are import paths resolved
-#: lazily so the scalar-only path never imports the vector machinery.
+#: Engine implementations selectable via ``SimConfig.engine``, the
+#: ``Simulator(engine=...)`` override and every CLI/service ``engine``
+#: option.  The vector engine is imported lazily, so the scalar-only
+#: path never loads its machinery.
 ENGINE_NAMES = ("scalar", "vector")
 
 
@@ -44,16 +45,13 @@ def make_engine(
     decode_cache: "Optional[DecodeCache]" = None,
     engine: Optional[str] = None,
     component_pool: "Optional[ComponentPool]" = None,
-    batch_components: bool = True,
 ) -> Engine:
     """Build the engine implementation selected by ``engine``.
 
     ``engine=None`` defers to ``config.engine``; unknown names raise
     ``ValueError`` listing the known implementations.  ``component_pool``
     recycles a previous engine's components when type and config match
-    (see :class:`~repro.sim.engine.ComponentPool`); ``batch_components``
-    forces the scalar per-call component path when ``False`` (the
-    vector engine's batched component plans are on by default).
+    (see :class:`~repro.sim.engine.ComponentPool`).
     """
     name = config.engine if engine is None else engine
     if name == "scalar":
@@ -61,7 +59,6 @@ def make_engine(
             config,
             decode_cache=decode_cache,
             component_pool=component_pool,
-            batch_components=batch_components,
         )
     if name == "vector":
         from repro.sim.vector_engine import VectorEngine
@@ -70,7 +67,6 @@ def make_engine(
             config,
             decode_cache=decode_cache,
             component_pool=component_pool,
-            batch_components=batch_components,
         )
     raise ValueError(
         f"unknown engine {name!r}; known: {list(ENGINE_NAMES)}"
@@ -112,10 +108,8 @@ class Simulator:
         config: SimConfig,
         decode_cache: "Union[Optional[DecodeCache], str]" = "fresh",
         engine: Optional[str] = None,
-        batch_components: bool = True,
     ) -> None:
         self.config = config
-        self.batch_components = batch_components
         if decode_cache == "fresh":
             decode_cache = DecodeCache()
         elif decode_cache is not None and not isinstance(decode_cache, DecodeCache):
@@ -148,8 +142,7 @@ class Simulator:
 
         engine = make_engine(self.config, decode_cache=self.decode_cache,
                              engine=self.engine,
-                             component_pool=self._component_pool,
-                             batch_components=self.batch_components)
+                             component_pool=self._component_pool)
         payload: Union[List[DecodedInstr], DecodedColumns]
         if self.engine == "vector":
             columns = self._columns_memo_lookup(trace, rules)

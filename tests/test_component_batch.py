@@ -6,7 +6,7 @@ sequence it replaces — same return values, same table/stack/LRU state
 afterwards.  This module pins each twin directly (the differential
 engine tests only see the composition), plus the machinery the batch
 path rides on: stream-purity declarations, the per-columns plan cache,
-the component pool, and the observability bypass.
+the component pool, and observed runs planning like unobserved ones.
 """
 
 import random
@@ -333,29 +333,11 @@ def test_plan_cache_populated_and_stable():
     assert_stats_identical(second, reference, "plan-cache hit")
 
 
-def test_batch_components_off_takes_live_path():
-    decoded = _decoded_stream()
-    config = SimConfig.main()
-    columns = columnarize(decoded)
-    reference = Engine(config).run(decoded)
-    stats = VectorEngine(config, batch_components=False).run(columns)
-    assert columns.plan_cache == {}  # the live path never plans
-    assert_stats_identical(stats, reference, "batch disabled")
-
-
-def test_simulator_batch_flag_is_forwarded():
-    decoded = _decoded_stream()
-    sim = Simulator(SimConfig.main(), engine="vector", batch_components=False)
-    baseline = Simulator(SimConfig.main()).run(decoded)
-    assert_stats_identical(sim.run(decoded), baseline, "nobatch simulator")
-    assert sim._columns_memo[2].plan_cache == {}
-
-
 # --------------------------------------------------------------------------
-# Observability bypass (obs attribution stays per-call)
+# Observed runs take the same batched path
 
 
-def test_obs_enabled_run_bypasses_batch_and_attributes(tmp_path):
+def test_obs_enabled_run_takes_batched_plans(tmp_path):
     import repro.obs as obs
     from repro.obs import events
 
@@ -363,6 +345,8 @@ def test_obs_enabled_run_bypasses_batch_and_attributes(tmp_path):
 
     decoded = _decoded_stream()
     config = SimConfig.main()
+    unobserved = columnarize(decoded)
+    VectorEngine(config).run(unobserved)
     columns = columnarize(decoded)
     reference = Engine(config).run(decoded)
     log = tmp_path / "obs.jsonl"
@@ -372,13 +356,12 @@ def test_obs_enabled_run_bypasses_batch_and_attributes(tmp_path):
         stats = VectorEngine(config).run(columns)
     finally:
         _reset_obs()
-    # Instrumented runs take the live per-call path so _TimedCalls can
-    # attribute component time; nothing may be planned around them.
-    assert columns.plan_cache == {}
+    assert columns.plan_cache  # an observed run plans like any other
+    assert set(columns.plan_cache) == set(unobserved.plan_cache)
     assert_stats_identical(stats, reference, "obs-enabled vector")
     spans = {
         row["name"]
         for row in events.iter_events(log)
         if row["type"] == "span"
     }
-    assert "sim.branch" in spans  # per-component attribution survived
+    assert {"sim.plan", "sim.sweep"} <= spans
